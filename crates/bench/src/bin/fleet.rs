@@ -1,11 +1,12 @@
 //! Fleet campaign: shared-airspace scaling and resilience in one sweep.
 //!
-//! Sweeps fleet size N ∈ {1, 5, 25, 100} against four fleet timelines:
+//! Sweeps fleet size N ∈ {1, 5, 25, 100} against five fleet timelines:
 //! healthy, a rolling-victim UDP flood, a mixed campaign (rolling flood
-//! plus targeted memory hog plus targeted controller kill), and the
+//! plus targeted memory hog plus targeted controller kill), the
 //! adversarial-airspace swarm-jam campaign (V2V coordination streams
 //! with external attacker nodes flooding a GCS uplink and jamming swarm
-//! ports). Reports per-cell crash/switch/deadline-miss outcomes plus
+//! ports), and a fleet-wide memory-hog strike (every vehicle leaves its
+//! shared machine schedule when the hog arms). Reports per-cell crash/switch/deadline-miss outcomes plus
 //! the steps/sec scaling of the co-simulation itself. Per-vehicle rows
 //! for every cell land in `results/fleet_campaign.csv`.
 //!
@@ -24,7 +25,10 @@
 //! `--no-bulk` settles every network flood span packet-by-packet
 //! instead of in closed form — the CSV must be byte-identical with no
 //! columns stripped (bulk changes no counter, not even the executor
-//! stats; CI diffs the full files).
+//! stats; CI diffs the full files); `--no-share` makes every vehicle
+//! advance its own machine instead of sharing one machine schedule per
+//! class of identical vehicles — CSV and trace must be byte-identical
+//! with no columns stripped (CI diffs both at 1 and 2 threads).
 //!
 //! Observability: `--trace events.jsonl` streams the deterministic
 //! structured trace of every cell (concatenated in sweep order —
@@ -42,7 +46,7 @@ use cd_obs::{Registry, TraceSink};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::SimDuration;
 
-/// The four fleet timelines of the sweep (shared with the perf
+/// The five fleet timelines of the sweep (shared with the perf
 /// harness's fleet rows via [`cd_bench::fleet_timelines`]), plus
 /// whether the cell flies V2V coordination streams — the swarm-jam
 /// campaign needs a swarm to jam (the same cell
@@ -53,6 +57,11 @@ fn timelines() -> Vec<(&'static str, FleetScript, bool)> {
         ("flood", cd_bench::fleet_timelines::rolling_flood(), false),
         ("mixed", cd_bench::fleet_timelines::mixed(), false),
         ("swarm-jam", cd_bench::fleet_timelines::swarm_jam(), true),
+        (
+            "strike",
+            cd_bench::fleet_timelines::broadcast_strike(),
+            false,
+        ),
     ]
 }
 
@@ -62,6 +71,7 @@ fn main() {
     let threads: usize = args.parsed("--threads").unwrap_or(1);
     let leap = !args.has("--no-leap");
     let bulk = !args.has("--no-bulk");
+    let share = !args.has("--no-share");
     // One trace file for the whole sweep: each cell appends through its
     // own sink over a cloned handle (cells run sequentially, and every
     // sink is flushed at its fleet's teardown).
@@ -84,13 +94,16 @@ fn main() {
         sizes.push(1000);
     }
     println!(
-        "Fleet campaign — N ∈ {sizes:?} × {{healthy, flood, mixed, swarm-jam}}, {}s flights, {threads} thread(s){}{}\n",
+        "Fleet campaign — N ∈ {sizes:?} × {{healthy, flood, mixed, swarm-jam, strike}}, {}s flights, {threads} thread(s){}{}\n",
         duration.as_secs_f64(),
         if smoke { " (smoke)" } else { "" },
         if leap { "" } else { ", stepped reference executor" },
     );
     if !bulk {
         println!("(--no-bulk: per-packet flood-span settlement)\n");
+    }
+    if !share {
+        println!("(--no-share: every vehicle advances its own machine)\n");
     }
 
     let base = ScenarioConfig::healthy().with_duration(duration);
@@ -108,7 +121,8 @@ fn main() {
                 .with_script(script.clone())
                 .with_threads(threads)
                 .with_leap(leap)
-                .with_bulk(bulk);
+                .with_bulk(bulk)
+                .with_shared_sched(share);
             if swarm {
                 cfg = cfg.with_swarm(SwarmConfig::default());
             }

@@ -156,6 +156,26 @@ pub mod fleet_timelines {
             )
     }
 
+    /// A fleet-wide strike: a memory hog armed on every vehicle at 2 s
+    /// and called off at 2.5 s. Every vehicle flies the same script, so
+    /// the whole fleet shares one machine schedule per shard until the
+    /// strike and every vehicle leaves its class when the hog arms — the
+    /// cell where the shared-schedule leave path shows in the campaign
+    /// CSV and trace.
+    pub fn broadcast_strike() -> FleetScript {
+        FleetScript::new()
+            .at(
+                SimTime::from_secs(2),
+                FleetTarget::Broadcast,
+                AttackEvent::MemoryHog(BandwidthHog::isolbench()),
+            )
+            .at(
+                SimTime::from_millis(2500),
+                FleetTarget::Broadcast,
+                AttackEvent::CeaseFire,
+            )
+    }
+
     /// The adversarial-airspace campaign: external attacker nodes jam
     /// two swarm ports (vehicles 0 and 10, 2 s and 2.5 s) and flood one
     /// GCS uplink (vehicle 5 at 2 s, cease-fire at 4.5 s), over a fleet

@@ -39,6 +39,7 @@ pub mod attack;
 pub mod cce;
 pub mod hce;
 pub mod report;
+pub mod share;
 
 use attacks::driver::AttackDriver;
 use attacks::script::ScriptEntry;
@@ -60,6 +61,9 @@ use crate::telemetry::FlightRecorder;
 
 pub use assembly::TaskIds;
 pub use report::{ScenarioResult, StreamReport};
+pub use share::{LeaveReason, SchedTape, TapeSeat};
+
+use share::{Op, SchedPort, Shared, Solo};
 
 // `SpanEnd` is defined next to `VehicleInstance` below; both are part of
 // the fleet-executor API surface.
@@ -303,12 +307,6 @@ impl VehicleInstance {
         self.rt.host_ns
     }
 
-    /// The HCE motor-port socket — deliveries to it must be routed back
-    /// via [`VehicleInstance::on_delivery`].
-    pub fn motor_rx(&self) -> SocketId {
-        self.rt.hce_motor_rx
-    }
-
     /// Phase 1 of a quantum: machine, physics, completed-job dispatch and
     /// armed attacks. Returns `false` once the flight is over, without
     /// advancing. The caller must follow up with one [`Network::step`],
@@ -345,10 +343,18 @@ impl VehicleInstance {
     /// thread). Deliveries to sockets this vehicle does not own are
     /// ignored.
     pub fn on_delivery(&mut self, d: Delivery) {
+        self.deliver(d, &mut Solo);
+    }
+
+    fn deliver<P: SchedPort>(&mut self, d: Delivery, port: &mut P) {
         if d.socket == self.rt.hce_motor_rx {
             if let Some(rx) = self.rt.ids.rx {
-                if self.rt.machine.is_alive(rx) {
-                    self.rt.machine.inject_job(rx, d.count);
+                if port.is_alive(&self.rt.machine, rx) {
+                    port.run(
+                        &mut self.rt.machine,
+                        Op::Inject(rx, d.count),
+                        &mut self.events,
+                    );
                 }
             }
         }
@@ -356,7 +362,11 @@ impl VehicleInstance {
 
     /// Phase 4 of a quantum: telemetry sampling and crash bookkeeping.
     pub fn post_step(&mut self) {
-        let now = self.rt.machine.now();
+        self.post_step_at(self.rt.machine.now());
+    }
+
+    /// [`VehicleInstance::post_step`] at machine time `now`.
+    fn post_step_at(&mut self, now: SimTime) {
         if now >= self.next_record {
             self.rt.record(now);
             self.next_record = now + self.record_period;
@@ -492,17 +502,28 @@ impl VehicleInstance {
     ///   ([`AttackDriver::span_ready`]), so deferring the queue drain to
     ///   the span-end network step cannot surface a capacity boundary
     ///   the per-quantum schedule would not have hit.
-    fn span_once(
+    ///
+    /// # Shared schedules
+    ///
+    /// The loop reaches the machine only through `port`. With [`Solo`]
+    /// that is the direct call; with a class's tape ([`share`]) a
+    /// follower takes recorded results instead. The tape port also makes
+    /// the member leave its class before an attack-script entry fires,
+    /// and books the rx-thread kill of a Simplex switch (which the
+    /// monitor handler issues on the vehicle's own machine) as a tape
+    /// operation.
+    fn span_once<P: SchedPort>(
         &mut self,
         net: &mut Network,
         hard_target: SimTime,
         defer_physics: bool,
+        port: &mut P,
     ) -> SpanEnd {
-        if self.done() {
+        let now = port.now(&self.rt.machine);
+        if self.finished || now >= self.end {
             return SpanEnd::Done;
         }
         let quantum = self.rt.machine.config().quantum;
-        let now = self.rt.machine.now();
 
         self.events.clear();
         let span_steps = self.rt.steps;
@@ -510,14 +531,18 @@ impl VehicleInstance {
         let sched_t0 = crate::phase::now();
         let mut flood_span: Option<usize> = None;
         if self.rt.armed.iter().any(|d| d.quantum_active()) {
-            if let Some((idx, target)) = self.flood_span_target(net, hard_target) {
+            let rx_alive = self
+                .rt
+                .ids
+                .rx
+                .is_some_and(|rx| port.is_alive(&self.rt.machine, rx));
+            if let Some((idx, target)) = self.flood_span_target(net, hard_target, now, rx_alive) {
                 flood_span = Some(idx);
-                self.leap_toward(target);
+                self.advance_machine(port, Op::Leap(target));
             } else {
                 // A live emitter without a provable span: one plain
                 // quantum.
-                self.rt.machine.step(&mut self.events);
-                self.rt.steps += 1;
+                self.advance_machine(port, Op::Step);
             }
         } else {
             let mut target = self.span_target_base(hard_target);
@@ -527,12 +552,12 @@ impl VehicleInstance {
             // Within one quantum of the nearest event this degenerates to
             // exactly one plain step.
             let target = target.max(now + quantum);
-            self.leap_toward(target);
+            self.advance_machine(port, Op::Leap(target));
         }
         self.rt.phase_ns[crate::phase::SCHED] += crate::phase::now() - sched_t0;
 
         let span_start = now;
-        let now = self.rt.machine.now();
+        let now = port.now(&self.rt.machine);
         if let Some(idx) = flood_span {
             // Replay the skipped per-quantum emissions at their
             // historical times, before the tail's dispatch can enqueue
@@ -546,7 +571,7 @@ impl VehicleInstance {
                 // stop reason, or a scheduling event that needs dispatch);
                 // a = quanta leaped, b = quanta stepped plainly.
                 let label = if self.events.is_empty() {
-                    self.rt.machine.obs().last_leap_stop
+                    port.leap_stop(&self.rt.machine)
                 } else {
                     "event"
                 };
@@ -564,9 +589,27 @@ impl VehicleInstance {
             self.rt.phase_ns[crate::phase::PHYSICS] += crate::phase::now() - t0;
         }
         self.rt.trace_skips(&self.events, now);
+        let switches = self.rt.simplex_switches;
         for i in 0..self.events.len() {
             if let SchedEvent::JobCompleted { task, .. } = self.events[i] {
                 self.rt.dispatch(task, now, net);
+            }
+        }
+        if P::SHARED {
+            if self.rt.simplex_switches != switches {
+                // The switch killed the rx thread on this vehicle's own
+                // machine; replay that kill through the tape.
+                if let Some(rx) = self.rt.ids.rx {
+                    port.run(&mut self.rt.machine, Op::Kill(rx), &mut self.events);
+                }
+            }
+            if self
+                .rt
+                .script
+                .get(self.rt.script_cursor)
+                .is_some_and(|entry| now >= entry.at)
+            {
+                port.leave(&mut self.rt.machine, LeaveReason::Arming);
             }
         }
         self.rt.step_attacks(now, quantum, net);
@@ -574,7 +617,7 @@ impl VehicleInstance {
         let t0 = crate::phase::now();
         let deliveries = net.step(now);
         for &d in deliveries {
-            self.on_delivery(d);
+            self.deliver(d, port);
         }
         self.rt.phase_ns[crate::phase::NET] += crate::phase::now() - t0;
         if at_target {
@@ -584,9 +627,18 @@ impl VehicleInstance {
                 SpanEnd::AtTarget
             }
         } else {
-            self.post_step();
+            self.post_step_at(now);
             SpanEnd::Short
         }
+    }
+
+    /// Runs one advancing machine operation through `port` and books its
+    /// quanta.
+    #[inline]
+    fn advance_machine<P: SchedPort>(&mut self, port: &mut P, op: Op) {
+        let (leaped, stepped) = port.run(&mut self.rt.machine, op, &mut self.events);
+        self.rt.steps += leaped + stepped;
+        self.rt.quanta_leaped += leaped;
     }
 
     /// The span-target clamps shared by every leap flavor: hard target,
@@ -606,36 +658,18 @@ impl VehicleInstance {
         target
     }
 
-    /// The leap loop: closed-form machine leaps toward `target`,
-    /// interleaved with plain steps wherever the machine cannot leap,
-    /// flushing as soon as a scheduling event needs its end-of-quantum
-    /// dispatch.
-    fn leap_toward(&mut self, target: SimTime) {
-        let quantum = self.rt.machine.config().quantum;
-        loop {
-            let leaped = self.rt.machine.leap_to(target);
-            self.rt.steps += leaped;
-            self.rt.quanta_leaped += leaped;
-            if self.rt.machine.now() + quantum > target {
-                break;
-            }
-            self.rt.machine.step(&mut self.events);
-            self.rt.steps += 1;
-            if !self.events.is_empty() {
-                // A scheduling event needs its end-of-quantum dispatch;
-                // flush here and let the next span resume.
-                break;
-            }
-        }
-    }
-
     /// The flood-span precondition chain (see the *Flood spans* section
     /// of [`VehicleInstance::span_once`]): returns the index of the one
     /// span-capable live emitter and the proven leap target, or `None`
     /// when per-quantum stepping is the only exact schedule.
-    fn flood_span_target(&self, net: &Network, hard_target: SimTime) -> Option<(usize, SimTime)> {
+    fn flood_span_target(
+        &self,
+        net: &Network,
+        hard_target: SimTime,
+        now: SimTime,
+        rx_alive: bool,
+    ) -> Option<(usize, SimTime)> {
         let quantum = self.rt.machine.config().quantum;
-        let now = self.rt.machine.now();
         // Exactly one driver with per-quantum work, and it is
         // span-capable.
         let mut live = self
@@ -663,12 +697,7 @@ impl VehicleInstance {
         if dst != motor {
             return None;
         }
-        if self
-            .rt
-            .ids
-            .rx
-            .is_some_and(|rx| self.rt.machine.is_alive(rx))
-        {
+        if rx_alive {
             return None;
         }
         let mut target = self.span_target_base(hard_target);
@@ -692,7 +721,7 @@ impl VehicleInstance {
     /// is over, without advancing. The single-vehicle drop-in for the
     /// [`RunningScenario::step`] loop.
     pub fn advance_span(&mut self, net: &mut Network, hard_target: SimTime) -> bool {
-        match self.span_once(net, hard_target, false) {
+        match self.span_once(net, hard_target, false, &mut Solo) {
             SpanEnd::Done => false,
             SpanEnd::Short => true,
             SpanEnd::AtTarget => {
@@ -709,7 +738,34 @@ impl VehicleInstance {
     /// [`VehicleInstance::span_once`] for the protocol each [`SpanEnd`]
     /// variant imposes on the caller.
     pub fn advance_span_deferred(&mut self, net: &mut Network, hard_target: SimTime) -> SpanEnd {
-        self.span_once(net, hard_target, true)
+        self.span_once(net, hard_target, true, &mut Solo)
+    }
+
+    /// [`VehicleInstance::advance_span_deferred`] for a member of a class
+    /// sharing one machine schedule ([`share`]): machine operations go
+    /// through `tape` from `seat` (taken with
+    /// [`VehicleInstance::join_window`] at the poll boundary). When the
+    /// span ends the member's window — at the target or done — its own
+    /// machine is brought to its current state before returning, so the
+    /// caller observes the vehicle exactly as after an unshared span.
+    /// Check [`TapeSeat::left`] afterwards: a member that left its class
+    /// runs on [`VehicleInstance::advance_span_deferred`] from the next
+    /// window on.
+    pub fn advance_span_shared(
+        &mut self,
+        net: &mut Network,
+        hard_target: SimTime,
+        tape: &mut SchedTape,
+        seat: &mut TapeSeat,
+    ) -> SpanEnd {
+        let mut port = Shared { tape, seat };
+        let end = self.span_once(net, hard_target, true, &mut port);
+        if end != SpanEnd::Short {
+            let t0 = crate::phase::now();
+            port.close(&mut self.rt.machine, self.finished);
+            self.rt.phase_ns[crate::phase::SCHED] += crate::phase::now() - t0;
+        }
+        end
     }
 
     /// The structured trace port. Detached by default; attach a ring

@@ -12,7 +12,8 @@
 //! The fleet-level twin of this gate lives in
 //! `crates/fleet/tests/zero_alloc.rs` (it must sit in the `cd-fleet`
 //! crate, which depends on this one): same counting allocator, measuring
-//! a flooded multi-vehicle fleet's per-quantum step.
+//! flooded and healthy multi-vehicle fleets on the stepped and the leap
+//! executor, shared machine schedules included.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

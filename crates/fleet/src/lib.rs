@@ -45,6 +45,17 @@
 //! partition is byte-for-byte identical to the serial run — the
 //! determinism tests enforce it.
 //!
+//! # Shared schedules
+//!
+//! Vehicles flying the same compiled attack script form a class: their
+//! seeds feed only physics and sensor noise, so their machines usually
+//! run one trajectory. On the leap executor each (class, shard) advances
+//! one machine per poll window and the other members replay its
+//! [`SchedTape`], leaving at their first mismatching machine operation
+//! (see [`containerdrone_core::runner::share`]). Reports are
+//! byte-identical to [`FleetConfig::with_shared_sched`]`(false)`, the
+//! `--no-share` reference.
+//!
 //! An N = 1 fleet run remains *byte-for-byte* identical to the classic
 //! single-vehicle [`Scenario`](containerdrone_core::runner::Scenario) run
 //! (the equivalence test pins this against the golden Figure 4 CSV).
@@ -73,11 +84,14 @@ pub mod swarm;
 use std::time::{Duration, Instant};
 
 use attacks::fleet::FleetScript;
+use attacks::script::AttackScript;
 use cd_obs::metrics::Registry;
 use cd_obs::trace::TraceSink;
 use containerdrone_core::config::SCHED_QUANTUM;
 use containerdrone_core::phase;
-use containerdrone_core::runner::{ScenarioResult, SpanEnd, VehicleInstance};
+use containerdrone_core::runner::{
+    LeaveReason, ScenarioResult, SchedTape, SpanEnd, VehicleInstance,
+};
 use containerdrone_core::scenario::ScenarioConfig;
 use sim_core::time::{SimDuration, SimTime};
 use uav_dynamics::batch::WorldBatch;
@@ -133,6 +147,12 @@ pub struct FleetConfig {
     /// reports — [`virt_net::net::Network::set_bulk`] — bulk is just
     /// O(1) per flood span instead of O(packets).
     pub bulk: bool,
+    /// Let vehicles whose machine inputs are identical share one machine
+    /// schedule per shard (the default; see the README "Shared
+    /// schedules" section). Applies to the leap executor only. `false`
+    /// (`--no-share`) is the reference: every vehicle advances its own
+    /// machine. Both produce byte-identical reports.
+    pub shared_sched: bool,
 }
 
 /// Shard-assignment strategy for the parallel executor.
@@ -168,6 +188,7 @@ impl FleetConfig {
             partition: Partition::default(),
             leap: true,
             bulk: true,
+            shared_sched: true,
         }
     }
 
@@ -231,6 +252,15 @@ impl FleetConfig {
         self.bulk = bulk;
         self
     }
+
+    /// Selects whether vehicles with identical machine inputs share one
+    /// machine schedule: `true` (default) or `false` (`--no-share`, every
+    /// vehicle advances its own machine). Byte-identical either way.
+    #[must_use]
+    pub fn with_shared_sched(mut self, shared: bool) -> Self {
+        self.shared_sched = shared;
+        self
+    }
 }
 
 /// One vehicle plus the private bridge network it flies against. The
@@ -239,6 +269,11 @@ impl FleetConfig {
 pub(crate) struct VehicleSlot {
     pub(crate) net: Network,
     pub(crate) vehicle: VehicleInstance,
+    /// The shared-schedule class this vehicle still follows (`None`:
+    /// it advances its own machine).
+    pub(crate) class: Option<usize>,
+    /// Why it left its class, once it has.
+    pub(crate) left: Option<LeaveReason>,
 }
 
 /// Advances one vehicle quantum-by-quantum until it finishes or reaches
@@ -247,7 +282,7 @@ pub(crate) struct VehicleSlot {
 /// that quantum, before its `post_step` — the same interleaving the
 /// quantum-stepped serial loop produces.
 fn run_slot_to(slot: &mut VehicleSlot, target: SimTime, snap: &mut VehicleSnapshot) {
-    let VehicleSlot { net, vehicle } = slot;
+    let VehicleSlot { net, vehicle, .. } = slot;
     loop {
         if !vehicle.advance(net) {
             *snap = VehicleSnapshot::finished(vehicle);
@@ -272,18 +307,65 @@ fn run_slot_to(slot: &mut VehicleSlot, target: SimTime, snap: &mut VehicleSnapsh
 }
 
 /// Pooled per-worker scratch of the leap executor: the struct-of-arrays
-/// physics batch and the bin-local indices of vehicles whose physics
-/// catch-up was deferred into it. Cleared (capacity kept) after every
-/// poll batch, so steady state allocates nothing.
+/// physics batch, the bin-local indices of vehicles whose physics
+/// catch-up was deferred into it, and one shared-schedule tape per class
+/// seen on this shard. Cleared (capacity kept) after every poll batch,
+/// so steady state allocates nothing.
 #[derive(Default)]
 struct ShardScratch {
     batch: WorldBatch,
     pending: Vec<usize>,
+    /// Shared-schedule tapes by class, created the first time a member
+    /// of the class runs on this shard.
+    tapes: Vec<Option<SchedTape>>,
     /// Wall-ns this shard spent in batched physics catch-up — the
     /// deferred share of the physics phase, booked here because it runs
     /// outside any vehicle ([`containerdrone_core::phase`] accounting;
     /// stays zero unless the phase clock is installed).
     physics_ns: u64,
+}
+
+impl ShardScratch {
+    /// Opens a poll window on every pooled tape.
+    fn begin_window(&mut self) {
+        for tape in self.tapes.iter_mut().flatten() {
+            tape.begin_window();
+        }
+    }
+}
+
+/// Groups vehicles into shared-schedule classes by their compiled attack
+/// script (every vehicle flies the fleet's base configuration; seeds feed
+/// only physics and sensor noise). Returns each vehicle's class, `None`
+/// for vehicles alone in theirs: a class of one has nothing to share.
+fn form_classes(scripts: &[AttackScript]) -> Vec<Option<usize>> {
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut sizes: Vec<usize> = Vec::new();
+    let group: Vec<usize> = scripts
+        .iter()
+        .enumerate()
+        .map(|(i, script)| {
+            let k = firsts
+                .iter()
+                .position(|&f| scripts[f] == *script)
+                .unwrap_or_else(|| {
+                    firsts.push(i);
+                    sizes.push(0);
+                    firsts.len() - 1
+                });
+            sizes[k] += 1;
+            k
+        })
+        .collect();
+    let mut ids = vec![None; sizes.len()];
+    let mut next = 0;
+    for (id, &size) in ids.iter_mut().zip(&sizes) {
+        if size > 1 {
+            *id = Some(next);
+            next += 1;
+        }
+    }
+    group.into_iter().map(|k| ids[k]).collect()
 }
 
 /// Advances one vehicle span-by-span to `target` (a poll boundary) on
@@ -295,31 +377,57 @@ struct ShardScratch {
 /// [`finish_deferred_slot`]. Returns `true` when this vehicle was
 /// deferred (its lane was enrolled in `batch`, its snapshot and
 /// bookkeeping still owed).
+///
+/// A class member advances through its class's tape on this shard
+/// (created here on first use); a member that leaves its class this
+/// window is unshared from the next window on.
 fn run_slot_leap(
     slot: &mut VehicleSlot,
     target: SimTime,
     snap: &mut VehicleSnapshot,
     batch: &mut WorldBatch,
+    tapes: &mut Vec<Option<SchedTape>>,
 ) -> bool {
-    let VehicleSlot { net, vehicle } = slot;
-    loop {
-        match vehicle.advance_span_deferred(net, target) {
+    let VehicleSlot {
+        net,
+        vehicle,
+        class,
+        left,
+    } = slot;
+    let mut shared = class.map(|c| {
+        if tapes.len() <= c {
+            tapes.resize_with(c + 1, || None);
+        }
+        let tape = tapes[c].get_or_insert_with(|| SchedTape::new(vehicle));
+        (tape, vehicle.join_window())
+    });
+    let deferred = loop {
+        let end = match &mut shared {
+            Some((tape, seat)) => vehicle.advance_span_shared(net, target, tape, seat),
+            None => vehicle.advance_span_deferred(net, target),
+        };
+        match end {
             SpanEnd::Done => {
                 *snap = VehicleSnapshot::finished(vehicle);
-                return false;
+                break false;
             }
             SpanEnd::Short => {}
             SpanEnd::AtTarget => {
                 *snap = VehicleSnapshot::of(vehicle);
                 vehicle.post_step();
-                return false;
+                break false;
             }
             SpanEnd::AtTargetDeferred => {
                 batch.enroll(vehicle.world(), vehicle.now());
-                return true;
+                break true;
             }
         }
+    };
+    if let Some(reason) = shared.and_then(|(_, seat)| seat.left()) {
+        *class = None;
+        *left = Some(reason);
     }
+    deferred
 }
 
 /// Completes a deferred vehicle once its shard's physics batch has
@@ -350,11 +458,11 @@ fn run_slot_leap_timed(
     target: SimTime,
     snap: &mut VehicleSnapshot,
     cost: &mut f64,
-    batch: &mut WorldBatch,
+    scratch: &mut ShardScratch,
 ) -> bool {
     // cd-lint: allow(wall_clock) -- cost-only EWMA observation for LPT shard balance; never feeds simulation state or the report
     let started = Instant::now();
-    let deferred = run_slot_leap(slot, target, snap, batch);
+    let deferred = run_slot_leap(slot, target, snap, &mut scratch.batch, &mut scratch.tapes);
     let observed = started.elapsed().as_secs_f64();
     *cost = if *cost == 0.0 {
         observed
@@ -478,13 +586,14 @@ fn run_shards(
             // Index loops over pooled scratch: the serial leap path, like
             // the serial stepped path, allocates nothing in steady state.
             let scratch = &mut scratch[0];
+            scratch.begin_window();
             for i in 0..slots.len() {
                 if run_slot_leap_timed(
                     &mut slots[i],
                     target,
                     &mut snapshots[i],
                     &mut costs[i],
-                    &mut scratch.batch,
+                    scratch,
                 ) {
                     scratch.pending.push(i);
                 }
@@ -531,8 +640,9 @@ fn run_shards(
             scope.spawn(move || {
                 if leap {
                     let mut batch = batch;
+                    scratch.begin_window();
                     for (i, (slot, snap, cost)) in batch.iter_mut().enumerate() {
-                        if run_slot_leap_timed(slot, target, snap, cost, &mut scratch.batch) {
+                        if run_slot_leap_timed(slot, target, snap, cost, scratch) {
                             scratch.pending.push(i);
                         }
                     }
@@ -553,7 +663,48 @@ fn run_shards(
             });
         }
     });
+    if leap {
+        unshare_diverged(slots, &bins, scratch);
+    }
     Some(bins)
+}
+
+/// Keeps every class one machine state across shards: each shard of a
+/// class recorded its own tape this window, and a shard's members still
+/// share only if their tape recorded the same operations as the first
+/// shard where the class is still shared. Members on a diverged shard
+/// leave (their machines are exact; they just stop sharing).
+fn unshare_diverged(slots: &mut [VehicleSlot], bins: &[Vec<usize>], scratch: &[ShardScratch]) {
+    let classes = scratch.iter().map(|s| s.tapes.len()).max().unwrap_or(0);
+    // Per class: the reference shard, and the verdict for the shard
+    // compared against it last.
+    let mut reference: Vec<Option<usize>> = vec![None; classes];
+    let mut verdict: Vec<Option<(usize, bool)>> = vec![None; classes];
+    let tape = |k: usize, c: usize| scratch[k].tapes[c].as_ref();
+    for (k, bin) in bins.iter().enumerate() {
+        for &i in bin {
+            let Some(c) = slots[i].class else { continue };
+            let k0 = *reference[c].get_or_insert(k);
+            if k0 == k {
+                continue;
+            }
+            let same = match verdict[c] {
+                Some((kk, same)) if kk == k => same,
+                _ => {
+                    let same = match (tape(k0, c), tape(k, c)) {
+                        (Some(a), Some(b)) => a.same_schedule(b),
+                        _ => false,
+                    };
+                    verdict[c] = Some((k, same));
+                    same
+                }
+            };
+            if !same {
+                slots[i].class = None;
+                slots[i].left = Some(LeaveReason::Mismatch);
+            }
+        }
+    }
 }
 
 /// A fleet mid-flight: N vehicles on one quantum clock, each over its
@@ -602,6 +753,7 @@ impl Fleet {
         let per_vehicle = config.script.compile(config.n_vehicles, end_of_flight);
 
         let mut slots = Vec::with_capacity(config.n_vehicles);
+        let mut scripts = Vec::with_capacity(config.n_vehicles);
         for (i, extra) in per_vehicle.into_iter().enumerate() {
             let mut cfg = config.base.clone();
             cfg.seed = cfg.seed.wrapping_add(i as u64);
@@ -610,8 +762,19 @@ impl Fleet {
             }
             let mut net = Network::new();
             net.set_bulk(config.bulk);
+            scripts.push(cfg.attacks.clone());
             let vehicle = VehicleInstance::build(cfg, Vec::new(), &mut net);
-            slots.push(VehicleSlot { net, vehicle });
+            slots.push(VehicleSlot {
+                net,
+                vehicle,
+                class: None,
+                left: None,
+            });
+        }
+        if config.leap && config.shared_sched {
+            for (slot, class) in slots.iter_mut().zip(form_classes(&scripts)) {
+                slot.class = class;
+            }
         }
         let mut airspace = Airspace::build(config.n_vehicles, config.gcs.uplink);
         airspace.net_mut().set_bulk(config.bulk);
@@ -764,63 +927,6 @@ impl Fleet {
         &self.attackers
     }
 
-    /// Advances the whole airspace by one scheduler quantum:
-    ///
-    /// 1. every still-flying vehicle advances (machine, physics, job
-    ///    dispatch, armed attacks), steps its bridge network and runs its
-    ///    telemetry/crash bookkeeping;
-    /// 2. if a poll tick is due, the merge boundary fires from the
-    ///    per-vehicle snapshots, in vehicle-index order: GCS downlink,
-    ///    swarm broadcast round, then the attacker nodes' turns;
-    /// 3. the airspace advances once and the GCS and swarm drain their
-    ///    sockets.
-    ///
-    /// Returns `false` — without advancing — once every vehicle has
-    /// finished. [`Fleet::run`] batches this loop between poll
-    /// boundaries (and across worker threads) without changing a byte of
-    /// the outcome for single-source ports; `step` stays the
-    /// incremental, debugger-friendly way to drive a fleet. When a
-    /// rate-limited port is fed by several links at once (an external
-    /// attacker sharing a telemetry or swarm port with genuine traffic),
-    /// the per-quantum schedule orders same-window bucket admissions by
-    /// arrival rather than by link, so view counters may differ
-    /// microscopically from [`Fleet::run`]'s — each schedule is
-    /// individually deterministic (see `run_to_end`).
-    pub fn step(&mut self) -> bool {
-        let target = self.now + SCHED_QUANTUM;
-        let poll_due = target >= self.next_poll;
-        let mut any = false;
-        for (slot, snap) in self.slots.iter_mut().zip(self.snapshots.iter_mut()) {
-            let VehicleSlot { net, vehicle } = slot;
-            if vehicle.advance(net) {
-                any = true;
-                if poll_due {
-                    *snap = VehicleSnapshot::of(vehicle);
-                }
-                let deliveries = net.step(vehicle.now());
-                for &d in deliveries {
-                    vehicle.on_delivery(d);
-                }
-                vehicle.post_step();
-            } else if poll_due {
-                *snap = VehicleSnapshot::finished(vehicle);
-            }
-        }
-        if !any {
-            return false;
-        }
-        self.now = target;
-        if poll_due {
-            self.merge_boundary(target);
-            self.next_poll += self.poll_period;
-        }
-        self.settle_airspace();
-        if poll_due {
-            self.observe_boundary(None);
-        }
-        true
-    }
-
     /// Everything that happens *at* a poll boundary, in its pinned
     /// deterministic order: the GCS downlink fires from the snapshots,
     /// the swarm broadcasts its round, and the attacker nodes take their
@@ -876,21 +982,11 @@ impl Fleet {
     /// boundaries the vehicles are entirely independent, so each shard
     /// runs vehicle-at-a-time batches (cache-friendly: one vehicle's
     /// whole working set stays hot for thousands of quanta) and the
-    /// threads only meet at poll boundaries. Byte-identical to looping
-    /// [`Fleet::step`] for single-source ports: the per-vehicle work is
-    /// the same pure function, snapshots are captured at the same
-    /// interleaving point, and the airspace admits every packet at its
-    /// own arrival time, so stepping it once per batch delivers exactly
-    /// what per-quantum stepping would (the quantum-vs-batch test pins
-    /// this on the mixed campaign). One caveat: when *several* links
-    /// feed one rate-limited port — an attacker flooding the uplink a
-    /// radio also reports on — the admission order within a window
-    /// follows link order under batch stepping but arrival order under
-    /// quantum stepping, so the two schedules may book a boundary packet
-    /// to different counters. Each schedule is individually
-    /// deterministic, and every thread count and partition runs this
-    /// batch executor, so the byte-identical guarantee across executor
-    /// configurations is unaffected.
+    /// threads only meet at poll boundaries. The airspace admits every
+    /// packet at its own arrival time and steps once per batch, in link
+    /// order; every thread count, partition and executor (leap, stepped,
+    /// shared or not) runs this same batch schedule, so their reports
+    /// are byte-identical.
     fn run_to_end(&mut self, observer: &mut dyn FleetObserver) {
         let threads = self.threads.clamp(1, self.slots.len());
         while self.run_batch(threads) {

@@ -19,6 +19,7 @@
 
 use cd_obs::metrics::{Counter, Gauge, Histogram, Registry};
 use cd_obs::trace::{TraceEvent, TraceKind, TraceSink};
+use containerdrone_core::runner::LeaveReason;
 use sim_core::time::SimTime;
 use virt_net::net::Network;
 
@@ -73,6 +74,11 @@ pub(crate) struct FleetMetrics {
     swarm_jam_dropped: Counter,
     attacker_packets: Counter,
     window_leap: Histogram,
+    /// Vehicles still sharing a class's machine schedule, and leaves by
+    /// reason. Which member of a class leaves depends on the shard
+    /// partition, so these stay out of the report and the trace.
+    sched_shared: Gauge,
+    sched_leaves: Vec<(LeaveReason, Counter)>,
     /// Per-shard EWMA cost (seconds) and shard population, indexed by
     /// shard slot (fixed label set, one series per worker thread).
     shard_cost: Vec<Gauge>,
@@ -146,6 +152,23 @@ impl FleetMetrics {
                 &[],
                 &WINDOW_LEAP_BUCKETS,
             ),
+            sched_shared: gauge(
+                "cd_fleet_sched_shared_vehicles",
+                "Vehicles advancing through a shared machine schedule.",
+            ),
+            sched_leaves: LeaveReason::ALL
+                .iter()
+                .map(|&reason| {
+                    (
+                        reason,
+                        reg.counter(
+                            "cd_fleet_sched_leaves_total",
+                            "Vehicles that left a shared machine schedule, by reason.",
+                            &[("reason", reason.label())],
+                        ),
+                    )
+                })
+                .collect(),
             shard_cost: (0..threads)
                 .map(|k| {
                     reg.gauge(
@@ -298,7 +321,9 @@ impl FleetObs {
             let mut leaped = 0u64;
             let mut steps = 0u64;
             let mut flying = 0u64;
+            let mut shared = 0u64;
             for (i, slot) in slots.iter().enumerate() {
+                shared += u64::from(slot.class.is_some());
                 let v = &slot.vehicle;
                 let crashed = v.crashed();
                 let switched = v.simplex_switches() > 0;
@@ -319,6 +344,10 @@ impl FleetObs {
                     m.window_leap.observe(window as f64);
                 }
                 self.prev_leaped[i] = v.quanta_leaped();
+            }
+            m.sched_shared.set(shared as f64);
+            for (reason, counter) in &m.sched_leaves {
+                counter.store(slots.iter().filter(|s| s.left == Some(*reason)).count() as u64);
             }
             m.sim_time.set(now.as_secs_f64());
             m.flying.set(flying as f64);

@@ -181,22 +181,30 @@ fn parallel_n1_fleet_still_reproduces_fig4_golden() {
     assert!(report.outcomes[0].gcs.packets > 0, "GCS heard the vehicle");
 }
 
-/// The quantum-stepped public API ([`Fleet::step`]) and the batch
-/// executor behind [`Fleet::run`] are two schedules of the same
-/// computation; their reports must match byte-for-byte.
+/// Carving the run into [`Fleet::run_until`] windows of uneven length
+/// (the incremental API) must not change a byte of the report: windows
+/// end on poll boundaries, exactly where [`Fleet::run`] merges anyway.
 #[test]
-fn quantum_stepping_matches_the_batch_executor() {
-    let batch = Fleet::new(mixed_config(5)).run();
+fn windowed_run_until_matches_the_batch_executor() {
+    let batch = Fleet::new(mixed_config(5).with_threads(2)).run();
 
-    let mut stepped = Fleet::new(mixed_config(5));
-    while stepped.step() {}
-    let stepped = stepped.finish();
+    let mut windowed = Fleet::new(mixed_config(5).with_threads(2));
+    let mut t = SimTime::ZERO;
+    for step_ms in [1, 250, 333, 1000, 17].iter().cycle() {
+        if (0..windowed.n_vehicles()).all(|i| windowed.vehicle(i).done()) {
+            break;
+        }
+        t += SimDuration::from_millis(*step_ms);
+        windowed.run_until(t);
+    }
+    let windowed = windowed.finish();
 
-    assert_eq!(batch.to_csv(), stepped.to_csv());
-    assert_eq!(batch.sim_steps, stepped.sim_steps);
-    assert_eq!(batch.net_packets, stepped.net_packets);
-    assert_eq!(batch.duration, stepped.duration);
-    for (a, b) in batch.outcomes.iter().zip(&stepped.outcomes) {
+    assert_eq!(batch.to_csv(), windowed.to_csv());
+    assert_eq!(batch.sim_steps, windowed.sim_steps);
+    assert_eq!(batch.quanta_leaped, windowed.quanta_leaped);
+    assert_eq!(batch.net_packets, windowed.net_packets);
+    assert_eq!(batch.duration, windowed.duration);
+    for (a, b) in batch.outcomes.iter().zip(&windowed.outcomes) {
         assert_eq!(
             a.result.telemetry.to_csv(),
             b.result.telemetry.to_csv(),

@@ -111,7 +111,7 @@ pub struct PerfCounter {
 
 /// MemGuard configuration: a per-core budget of cache lines per regulation
 /// period, matching the kernel module the paper deploys (§III-D).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct MemGuardConfig {
     /// Regulation period (the paper's MemGuard uses 1 ms).
     pub period: SimDuration,
@@ -159,7 +159,7 @@ impl MemGuardConfig {
 /// let out = mem.quantum(SimTime::ZERO, SimDuration::from_micros(50), &[quiet; 4]);
 /// assert!(out[0].progress > 0.95); // light load: almost no dilation
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MemorySystem {
     config: DramConfig,
     memguard: Option<MemGuardState>,
@@ -175,13 +175,70 @@ pub struct MemorySystem {
     outcomes: Vec<CoreOutcome>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MemGuardState {
     config: MemGuardConfig,
     used: Vec<f64>,
     next_replenish: SimTime,
     /// Number of throttle episodes per core.
     throttle_events: Vec<u64>,
+}
+
+impl Clone for MemGuardConfig {
+    fn clone(&self) -> Self {
+        MemGuardConfig {
+            budgets: self.budgets.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise: the budget vector reuses its buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.period = src.period;
+        self.budgets.clone_from(&src.budgets);
+    }
+}
+
+impl Clone for MemGuardState {
+    fn clone(&self) -> Self {
+        MemGuardState {
+            config: self.config.clone(),
+            used: self.used.clone(),
+            throttle_events: self.throttle_events.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.config.clone_from(&src.config);
+        self.used.clone_from(&src.used);
+        self.next_replenish = src.next_replenish;
+        self.throttle_events.clone_from(&src.throttle_events);
+    }
+}
+
+impl Clone for MemorySystem {
+    fn clone(&self) -> Self {
+        MemorySystem {
+            memguard: self.memguard.clone(),
+            counters: self.counters.clone(),
+            prev_served: self.prev_served.clone(),
+            served_scratch: self.served_scratch.clone(),
+            outcomes: self.outcomes.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise and allocation-free between memory systems of the same
+    /// core count and regulation: every vector reuses its buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.config = src.config;
+        self.memguard.clone_from(&src.memguard);
+        self.counters.clone_from(&src.counters);
+        self.prev_served.clone_from(&src.prev_served);
+        self.served_scratch.clone_from(&src.served_scratch);
+        self.outcomes.clone_from(&src.outcomes);
+    }
 }
 
 impl MemorySystem {
@@ -225,16 +282,6 @@ impl MemorySystem {
             throttle_events: vec![0; n],
             config,
         });
-    }
-
-    /// Removes MemGuard regulation.
-    pub fn disable_memguard(&mut self) {
-        self.memguard = None;
-    }
-
-    /// `true` if MemGuard is active.
-    pub fn memguard_enabled(&self) -> bool {
-        self.memguard.is_some()
     }
 
     /// Per-core cumulative counters.

@@ -16,7 +16,7 @@ use crate::task::{CpuSet, SchedPolicy};
 pub struct CgroupId(pub(crate) u32);
 
 /// A control group.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cgroup {
     /// Display name ("/", "docker/cce", …).
     pub name: String,
@@ -24,6 +24,22 @@ pub struct Cgroup {
     pub cpuset: CpuSet,
     /// Whether members may hold real-time scheduling classes.
     pub allow_realtime: bool,
+}
+
+impl Clone for Cgroup {
+    fn clone(&self) -> Self {
+        Cgroup {
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise: the name reuses its buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.name.clone_from(&src.name);
+        self.cpuset = src.cpuset;
+        self.allow_realtime = src.allow_realtime;
+    }
 }
 
 impl Cgroup {

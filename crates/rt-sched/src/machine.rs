@@ -43,7 +43,7 @@ struct Job {
     remaining: SimDuration,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Task {
     spec: TaskSpec,
     cgroup: CgroupId,
@@ -62,11 +62,35 @@ struct Task {
     stats: TaskStats,
 }
 
+impl Clone for Task {
+    fn clone(&self) -> Self {
+        Task {
+            spec: self.spec.clone(),
+            jobs: self.jobs.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise: the name and job queue reuse their buffers.
+    fn clone_from(&mut self, src: &Self) {
+        self.spec.clone_from(&src.spec);
+        self.cgroup = src.cgroup;
+        self.alive = src.alive;
+        self.jobs.clone_from(&src.jobs);
+        self.next_release = src.next_release;
+        self.fifo_seq = src.fifo_seq;
+        self.vruntime = src.vruntime;
+        self.slice_used = src.slice_used;
+        self.ready = src.ready;
+        self.stats = src.stats;
+    }
+}
+
 /// Incrementally maintained ready queues — the replacement for the old
 /// per-dispatch sort over every runnable task. Dispatch order is identical
 /// to the sort it replaced: real-time tasks by (priority descending, FIFO
 /// sequence ascending), then fair tasks by (vruntime, id).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ReadyQueues {
     /// RT buckets indexed by `255 - priority` (bucket order = priority
     /// descending), each kept sorted ascending by FIFO sequence number.
@@ -82,6 +106,24 @@ struct ReadyQueues {
     /// *and* dispatch order — is provably unchanged, which is what lets
     /// [`Machine::assign_cores`] reuse the previous quantum's assignment.
     epoch: u64,
+}
+
+impl Clone for ReadyQueues {
+    fn clone(&self) -> Self {
+        ReadyQueues {
+            rt: self.rt.clone(),
+            fair: self.fair.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise: every bucket reuses its buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.rt.clone_from(&src.rt);
+        self.occupied = src.occupied;
+        self.fair.clone_from(&src.fair);
+        self.epoch = src.epoch;
+    }
 }
 
 impl ReadyQueues {
@@ -175,17 +217,6 @@ pub struct TaskStats {
     pub response_max: SimDuration,
 }
 
-impl TaskStats {
-    /// Mean response time, if any job completed.
-    pub fn response_mean(&self) -> Option<SimDuration> {
-        if self.completions == 0 {
-            None
-        } else {
-            Some(self.response_sum / self.completions)
-        }
-    }
-}
-
 /// Per-core accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreStats {
@@ -251,7 +282,7 @@ pub struct SchedObs {
 /// m.step_until(SimTime::from_millis(20), &mut events);
 /// assert!(events.len() >= 4); // ~5 completions in 20 ms at 250 Hz
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Machine {
     config: MachineConfig,
     now: SimTime,
@@ -306,6 +337,45 @@ pub struct Machine {
     /// Executor observability counters (quanta, dispatches, skips, leap
     /// stop reasons). Deterministic: fed only by simulation state.
     obs: SchedObs,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Self {
+        let mut m = Machine::new(self.config);
+        m.clone_from(self);
+        m
+    }
+
+    /// Field-wise and allocation-free once `self` has held a machine of
+    /// the same shape (same task set, queue depths within the capacities
+    /// it has already seen): every vector, queue and name reuses its
+    /// buffer. This is what lets a fleet refresh pooled copies of a
+    /// shared schedule's machine at every poll boundary for free.
+    fn clone_from(&mut self, src: &Self) {
+        self.config = src.config;
+        self.now = src.now;
+        self.tasks.clone_from(&src.tasks);
+        self.cgroups.clone_from(&src.cgroups);
+        self.memory.clone_from(&src.memory);
+        self.cores.clone_from(&src.cores);
+        self.fifo_counter = src.fifo_counter;
+        self.started = src.started;
+        self.ready.clone_from(&src.ready);
+        self.assignment.clone_from(&src.assignment);
+        self.fair_scratch.clone_from(&src.fair_scratch);
+        self.demands.clone_from(&src.demands);
+        self.progress_scratch.clone_from(&src.progress_scratch);
+        self.fair_order.clone_from(&src.fair_order);
+        self.last_assign_epoch = src.last_assign_epoch;
+        #[cfg(debug_assertions)]
+        self.assign_verify.clone_from(&src.assign_verify);
+        self.rt_assignment.clone_from(&src.rt_assignment);
+        self.rt_free_mask = src.rt_free_mask;
+        self.rt_epoch = src.rt_epoch;
+        self.next_release_hint = src.next_release_hint;
+        self.periodic_tasks.clone_from(&src.periodic_tasks);
+        self.obs = src.obs;
+    }
 }
 
 impl Machine {
@@ -509,12 +579,6 @@ impl Machine {
     pub fn reset_accounting(&mut self) {
         self.cores = vec![CoreStats::default(); self.config.n_cores];
         self.started = self.now;
-    }
-
-    /// Access to the shared memory system (to enable MemGuard, read the
-    /// performance counters, …).
-    pub fn memory_mut(&mut self) -> &mut MemorySystem {
-        &mut self.memory
     }
 
     /// Read access to the shared memory system.

@@ -224,7 +224,7 @@ pub enum Activation {
 }
 
 /// Full description of a task.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TaskSpec {
     /// Human-readable name (appears in events and reports).
     pub name: String,
@@ -236,6 +236,24 @@ pub struct TaskSpec {
     pub activation: Activation,
     /// Cost of one job (ignored for `Busy`, which always has work).
     pub cost: Cost,
+}
+
+impl Clone for TaskSpec {
+    fn clone(&self) -> Self {
+        TaskSpec {
+            name: self.name.clone(),
+            ..*self
+        }
+    }
+
+    /// Field-wise: the name reuses its buffer.
+    fn clone_from(&mut self, src: &Self) {
+        self.name.clone_from(&src.name);
+        self.policy = src.policy;
+        self.affinity = src.affinity;
+        self.activation = src.activation;
+        self.cost = src.cost;
+    }
 }
 
 impl TaskSpec {

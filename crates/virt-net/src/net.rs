@@ -804,16 +804,6 @@ impl Network {
         }
     }
 
-    /// Removes the ingress rate limit on `dst`, if any.
-    pub fn remove_rate_limit(&mut self, dst: Addr) {
-        match self.addr_index.get(&dst) {
-            Some(&i) => self.sockets[i as usize].rate_limit = None,
-            None => {
-                self.rate_limits.remove(&dst);
-            }
-        }
-    }
-
     /// Takes a cleared payload buffer from the free-list pool (allocating
     /// only when the pool is empty). Fill it, then pass it to
     /// [`Network::send`]; buffers return to the pool via
@@ -1409,11 +1399,6 @@ impl Network {
         self.no_bulk = !on;
     }
 
-    /// `true` while bulk span settlement is enabled (the default).
-    pub fn bulk_enabled(&self) -> bool {
-        !self.no_bulk
-    }
-
     /// The earliest instant the ingress rate limit on `dst` would admit a
     /// packet (see [`TokenBucket::next_token_time`]); `now` itself when
     /// `dst` carries no limit or the bucket already holds a token.
@@ -1460,11 +1445,6 @@ impl Network {
             .get(socket.0 as usize)
             .map(|s| s.stats)
             .unwrap_or_default()
-    }
-
-    /// The endpoint a socket is bound to.
-    pub fn socket_addr(&self, socket: SocketId) -> Option<Addr> {
-        self.sockets.get(socket.0 as usize).map(|s| s.addr)
     }
 
     /// Total packets dropped on link transmit queues.
